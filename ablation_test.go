@@ -1,4 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the design choices behind the experiments listed
+// in the experiment table (All in internal/exp/exp.go):
 //
 //   - the CH contraction-order heuristic (edge difference + deleted
 //     neighbors + depth vs single-term orderings),

@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per artifact; see DESIGN.md for the experiment index).
+// (one benchmark per artifact; the experiment table, All in
+// internal/exp/exp.go, maps each one to its paper artifact).
 //
 // Each iteration performs the complete experiment — dataset generation,
 // preprocessing, and the timed query workload — on reduced dataset sizes so

@@ -1,6 +1,6 @@
 // Command doccheck keeps the markdown documentation honest. For each
 // given file (default: README.md and docs/*.md) it checks two things that
-// rot silently:
+// rot silently, and without arguments a third:
 //
 //   - Every fenced ```go code block must parse. Blocks that are not
 //     complete files are wrapped in a synthetic package/function first, so
@@ -11,6 +11,9 @@
 //   - Every relative markdown link must resolve to an existing file.
 //     External links (http/https/mailto) and pure fragments are skipped;
 //     a fragment on a relative link is stripped before the check.
+//   - Without arguments, every *.md path named in a comment of a Go file
+//     under the current directory must exist, relative to the current
+//     directory (the module root) or to the Go file's own directory.
 //
 // Exit status 0 when everything holds, 1 with one line per finding
 // otherwise, 2 on usage errors. CI runs it in the lint job next to vet.
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -34,6 +38,7 @@ func main() {
 	}
 	flag.Parse()
 
+	var findings []string
 	files := flag.Args()
 	if len(files) == 0 {
 		files = append(files, "README.md")
@@ -41,9 +46,14 @@ func main() {
 		if err == nil {
 			files = append(files, docs...)
 		}
+		fs, err := checkGoComments(".")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		findings = append(findings, fs...)
 	}
 
-	var findings []string
 	for _, f := range files {
 		fs, err := checkFile(f)
 		if err != nil {
@@ -170,4 +180,64 @@ func relativeLinks(text string) []link {
 		}
 	}
 	return out
+}
+
+// checkGoComments walks the Go files under root (skipping hidden
+// directories such as .git) and reports every *.md path named in a comment
+// that exists neither under root nor beside the Go file.
+func checkGoComments(root string) ([]string, error) {
+	var findings []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return fmt.Errorf("doccheck: %v", err)
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range mdPaths(c.Text) {
+					if exists(filepath.Join(root, name)) || exists(filepath.Join(filepath.Dir(path), name)) {
+						continue
+					}
+					findings = append(findings, fmt.Sprintf("%s:%d: comment names %s, which does not exist",
+						path, fset.Position(c.Slash).Line, name))
+				}
+			}
+		}
+		return nil
+	})
+	return findings, err
+}
+
+// mdPathRe matches a *.md file name, with any directory prefix, in free
+// text. Globs (docs/*.md) and URLs match with their '*' or ':' and are
+// dropped by mdPaths.
+var mdPathRe = regexp.MustCompile(`[\w./*:-]*\w\.md\b`)
+
+// mdPaths returns the *.md file paths named in a comment's text.
+func mdPaths(text string) []string {
+	var out []string
+	for _, m := range mdPathRe.FindAllString(text, -1) {
+		if !strings.ContainsAny(m, "*:") {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

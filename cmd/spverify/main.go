@@ -11,16 +11,17 @@
 // per section. The exit status is the fleet-automation contract:
 //
 //	0  every file verified clean (or, without -strict, was unauditable)
-//	1  at least one file is corrupt — structural damage or a checksum
-//	   mismatch; rebuild it from source data before serving from it
+//	1  at least one file is corrupt — structural damage, a checksum
+//	   mismatch, or not a flat container at all; rebuild it from source
+//	   data before serving from it
 //	2  usage error, or a file could not be read at all
 //
-// Files written before checksum support (and legacy v1 streams) carry no
-// checksums; they parse but cannot be audited. By default these are
+// Flat files written before checksum support, and containers of a newer
+// version than this tool reads, cannot be audited. By default these are
 // reported as "unauditable" and do not fail the run; -strict treats them
 // as failures, for fleets that require every serving byte to be
-// attestable. Rewriting such a file with the current tools (load it, save
-// it) upgrades it to the checksummed layout.
+// attestable. Rewriting a checksum-less file with the current tools (load
+// it, save it) upgrades it to the checksummed layout.
 //
 // Auditing maps the file read-only and streams one sequential CRC sweep;
 // a multi-GB index audit allocates almost nothing.
@@ -37,7 +38,7 @@ import (
 
 func main() {
 	quiet := flag.Bool("q", false, "print only failures and the final verdict line")
-	strict := flag.Bool("strict", false, "treat unauditable files (no checksums, legacy v1 streams) as failures")
+	strict := flag.Bool("strict", false, "treat unauditable files (no checksums, newer container version) as failures")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: spverify [-q] [-strict] file...\n")
 		flag.PrintDefaults()
@@ -90,11 +91,11 @@ func audit(path string, quiet bool) (auditVerdict, error) {
 	f, err := binio.OpenFlat(path, true, binio.WithoutVerify())
 	if err != nil {
 		switch {
-		case errors.Is(err, binio.ErrNotFlat), errors.Is(err, binio.ErrVersion):
-			// Legacy v1 streams (and foreign files) have no checksums to
-			// audit. They are not known-bad, merely unattestable.
+		case errors.Is(err, binio.ErrVersion):
+			// A newer container is not known-bad, merely unattestable here.
 			return auditUnauditable, err
-		case errors.Is(err, binio.ErrCorrupt):
+		case errors.Is(err, binio.ErrNotFlat), errors.Is(err, binio.ErrCorrupt):
+			// No loader reads anything but a flat container.
 			return auditCorrupt, err
 		default:
 			return auditUnreadable, err

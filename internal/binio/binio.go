@@ -81,20 +81,6 @@ func (w *Writer) I32Slice(s []int32) {
 	}
 }
 
-// U32Slice writes a length-prefixed []uint32.
-func (w *Writer) U32Slice(s []uint32) {
-	w.I64(int64(len(s)))
-	for _, v := range s {
-		w.I32(int32(v))
-	}
-}
-
-// U8Slice writes a length-prefixed []uint8.
-func (w *Writer) U8Slice(s []uint8) {
-	w.I64(int64(len(s)))
-	w.write(s)
-}
-
 // Err returns the sticky error.
 func (w *Writer) Err() error { return w.err }
 
@@ -196,30 +182,6 @@ func (r *Reader) I32Slice() []int32 {
 	for i := range s {
 		s[i] = r.I32()
 	}
-	if r.err != nil {
-		return nil
-	}
-	return s
-}
-
-// U32Slice reads a length-prefixed []uint32.
-func (r *Reader) U32Slice() []uint32 {
-	n := r.sliceLen(4)
-	s := make([]uint32, n)
-	for i := range s {
-		s[i] = uint32(r.I32())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return s
-}
-
-// U8Slice reads a length-prefixed []uint8.
-func (r *Reader) U8Slice() []uint8 {
-	n := r.sliceLen(1)
-	s := make([]uint8, n)
-	r.read(s)
 	if r.err != nil {
 		return nil
 	}

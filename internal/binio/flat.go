@@ -7,8 +7,8 @@
 // fixed-size elements. A loader can therefore mmap the file and cast each
 // section in place — startup is O(#sections), resident memory is shared
 // page cache, and indexes larger than RAM serve gracefully. Scalars, small
-// tables and options travel in the metadata blob, encoded with the v1
-// Writer/Reader primitives.
+// tables and options travel in the metadata blob, encoded with the
+// Writer/Reader primitives of binio.go.
 //
 // Layout (all integers little-endian):
 //
@@ -37,6 +37,7 @@
 package binio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,9 +116,8 @@ func (k SectionKind) elemSize() int64 {
 	}
 }
 
-// ErrNotFlat reports that a byte stream is not a flat v2 container (it may
-// be a v1 length-prefixed stream); callers use it to dispatch between the
-// two load paths.
+// ErrNotFlat reports that a byte stream is not a flat v2 container. No
+// other index format is readable, so loaders surface it as-is.
 var ErrNotFlat = errors.New("binio: not a flat v2 container")
 
 // ErrVersion reports a flat container whose version this reader does not
@@ -303,11 +303,6 @@ type parsedSection struct {
 	data []byte
 }
 
-// IsFlat reports whether b begins with the flat container magic.
-func IsFlat(b []byte) bool {
-	return len(b) >= len(FlatMagic) && string(b[:len(FlatMagic)]) == FlatMagic
-}
-
 // ParseFlat parses a flat container held in data. When zeroCopy is true
 // (data is mmap'd or otherwise long-lived), section accessors cast in
 // place where alignment and host endianness allow; otherwise they copy.
@@ -326,10 +321,21 @@ func ParseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 	return f, nil
 }
 
+// ReadFlat reads a whole flat container from a stream and parses it with
+// ParseFlat — the copying load path shared by every Read* function. A
+// stream that does not start with FlatMagic fails with ErrNotFlat.
+func ReadFlat(r io.Reader) (*FlatFile, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseFlat(data, true)
+}
+
 // parseFlat parses the header and section table without touching (or
 // verifying) the section payloads.
 func parseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
-	if !IsFlat(data) {
+	if !bytes.HasPrefix(data, []byte(FlatMagic)) {
 		return nil, ErrNotFlat
 	}
 	if len(data) < flatHeaderSize {

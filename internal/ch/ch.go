@@ -15,6 +15,8 @@
 package ch
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"roadnet/internal/graph"
@@ -58,27 +60,15 @@ type Hierarchy struct {
 	firstUp  []int32
 	upHead   []int32
 	upWeight []int32
-	upMiddle []int32 // contracted middle vertex of a shortcut, -1 for edges
-
-	// unpack maps a vertex pair to the middle vertex of the minimal-weight
-	// edge/shortcut joining it, for recursive path unpacking. Built and
-	// v1-loaded hierarchies use the map; flat-loaded (zero-copy) ones keep
-	// the on-disk form instead — parallel arrays sorted by (u, v), searched
-	// by middleOf — so loading never materializes per-entry heap state.
-	unpack                         map[pairKey]int32
-	unpackU, unpackV, unpackMiddle []int32
+	// upMiddle is the contracted middle vertex of a shortcut, -1 for an
+	// original edge. Every vertex pair joined by an edge or shortcut has
+	// exactly one upward arc (the minimal-weight one, on its lower-ranked
+	// endpoint), so these tags are also the table that path unpacking
+	// reads through middleOf.
+	upMiddle []int32
 
 	numShortcuts int
 	buildTime    time.Duration
-}
-
-type pairKey struct{ u, v graph.VertexID }
-
-func orderedKey(u, v graph.VertexID) pairKey {
-	if u > v {
-		u, v = v, u
-	}
-	return pairKey{u, v}
 }
 
 // halfEdge is one adjacency entry of the dynamic graph used during
@@ -105,9 +95,8 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 	}
 
 	h := &Hierarchy{
-		g:      g,
-		rank:   make([]int32, n),
-		unpack: make(map[pairKey]int32, g.NumEdges()*2),
+		g:    g,
+		rank: make([]int32, n),
 	}
 
 	type finalEdge struct {
@@ -193,44 +182,38 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 		}
 	}
 
-	// Build the upward CSR and unpacking map from the minimal edge set:
-	// collapse duplicates, keeping minimum weight.
-	best := make(map[pairKey]finalEdge, len(finalEdges))
-	for _, e := range finalEdges {
-		k := orderedKey(e.u, e.v)
-		if old, ok := best[k]; !ok || e.w < old.w {
-			best[k] = e
+	// Build the upward CSR from the minimal edge set. Each edge is stored
+	// once, on its lower-ranked endpoint; sorting by (low, high, weight)
+	// groups duplicates with the minimum-weight one first (the stable sort
+	// keeps the earliest among ties), so the CSR — and the saved file — is
+	// the same on every build of the same graph.
+	for i, e := range finalEdges {
+		if h.rank[e.u] > h.rank[e.v] {
+			finalEdges[i].u, finalEdges[i].v = e.v, e.u
 		}
 	}
-	degUp := make([]int32, n)
-	for k := range best {
-		lowFirst := k.u
-		if h.rank[k.u] > h.rank[k.v] {
-			lowFirst = k.v
+	slices.SortStableFunc(finalEdges, func(a, b finalEdge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		degUp[lowFirst]++
-	}
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	})
+	finalEdges = slices.CompactFunc(finalEdges, func(a, b finalEdge) bool { return a.u == b.u && a.v == b.v })
 	h.firstUp = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		h.firstUp[v+1] = h.firstUp[v] + degUp[v]
-	}
-	total := h.firstUp[n]
-	h.upHead = make([]int32, total)
-	h.upWeight = make([]int32, total)
-	h.upMiddle = make([]int32, total)
-	next := make([]int32, n)
-	copy(next, h.firstUp[:n])
-	for k, e := range best {
-		lo, hi := k.u, k.v
-		if h.rank[lo] > h.rank[hi] {
-			lo, hi = hi, lo
-		}
-		a := next[lo]
-		next[lo]++
-		h.upHead[a] = hi
+	h.upHead = make([]int32, len(finalEdges))
+	h.upWeight = make([]int32, len(finalEdges))
+	h.upMiddle = make([]int32, len(finalEdges))
+	for a, e := range finalEdges {
+		h.firstUp[e.u+1]++
+		h.upHead[a] = e.v
 		h.upWeight[a] = e.w
 		h.upMiddle[a] = e.middle
-		h.unpack[k] = e.middle
+	}
+	for v := 0; v < n; v++ {
+		h.firstUp[v+1] += h.firstUp[v]
 	}
 
 	h.buildTime = time.Since(start)
@@ -263,41 +246,26 @@ func (h *Hierarchy) BuildTime() time.Duration { return h.buildTime }
 // Graph returns the underlying road network.
 func (h *Hierarchy) Graph() *graph.Graph { return h.g }
 
-// SizeBytes reports the memory footprint of the index structures (upward
-// CSR plus the unpacking table), which is what the paper's Figure 6(a)
-// space-consumption plot measures.
+// SizeBytes reports the memory footprint of the index structures (the
+// rank permutation and the upward CSR), which is what the paper's Figure
+// 6(a) space-consumption plot measures.
 func (h *Hierarchy) SizeBytes() int64 {
-	csr := int64(len(h.firstUp))*4 + int64(len(h.upHead))*4 +
+	return int64(len(h.firstUp))*4 + int64(len(h.upHead))*4 +
 		int64(len(h.upWeight))*4 + int64(len(h.upMiddle))*4 + int64(len(h.rank))*4
-	// map entry: key (8) + value (4) + bucket overhead (~8)
-	unpack := int64(len(h.unpack)) * 20
-	// Flat-loaded hierarchies keep the sorted-array form instead: 12 bytes
-	// per entry, shared with the page cache when mapped.
-	unpack += int64(len(h.unpackU)) * 12
-	return csr + unpack
 }
 
 // middleOf resolves the middle vertex of the minimal edge/shortcut joining
-// u and w: from the unpack map on built/v1-loaded hierarchies, by binary
-// search over the sorted flat arrays on zero-copy loads. Reported middles
-// below zero mean "original edge".
+// u and w by scanning the upward arcs of the lower-ranked endpoint (upward
+// degrees are small on road networks). Reported middles below zero mean
+// "original edge".
 func (h *Hierarchy) middleOf(u, w graph.VertexID) (int32, bool) {
-	k := orderedKey(u, w)
-	if h.unpack != nil {
-		middle, ok := h.unpack[k]
-		return middle, ok
+	if h.rank[u] > h.rank[w] {
+		u, w = w, u
 	}
-	lo, hi := 0, len(h.unpackU)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if h.unpackU[mid] < k.u || (h.unpackU[mid] == k.u && h.unpackV[mid] < k.v) {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for a := h.firstUp[u]; a < h.firstUp[u+1]; a++ {
+		if h.upHead[a] == w {
+			return h.upMiddle[a], true
 		}
-	}
-	if lo < len(h.unpackU) && h.unpackU[lo] == k.u && h.unpackV[lo] == k.v {
-		return h.unpackMiddle[lo], true
 	}
 	return 0, false
 }

@@ -25,5 +25,5 @@
 //   - The spatial tier (spatial.go): an R-tree locator composed with the
 //     network engines for point location, network k-NN and range queries.
 //   - Persistence (loadfile.go): the flat v2 zero-copy load path with
-//     checksum verification, plus the legacy v1 streams.
+//     checksum verification.
 package core

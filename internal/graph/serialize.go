@@ -46,11 +46,7 @@ func (g *Graph) Save(w io.Writer) error {
 // cast (or decoded) from that buffer. Use LoadFile to map the file
 // instead.
 func ReadGraph(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	f, err := binio.ParseFlat(data, true)
+	f, err := binio.ReadFlat(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}

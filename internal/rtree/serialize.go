@@ -63,11 +63,7 @@ func (t *Tree) Save(w io.Writer) error {
 // ReadTree reads a tree written by Save from a stream (the copying path;
 // use LoadFile to map the file instead).
 func ReadTree(r io.Reader) (*Tree, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	f, err := binio.ParseFlat(data, true)
+	f, err := binio.ReadFlat(r)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}

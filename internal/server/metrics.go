@@ -190,37 +190,6 @@ func (m *serverMetrics) countBudgetHit() {
 	m.budgetHits.Inc()
 }
 
-// statusWriter remembers the response status for the request counter. The
-// zero status means the handler never wrote — net/http sends an implicit
-// 200 for that. Flush and Unwrap keep streaming and ResponseController
-// working through the wrapper, exactly like trackingWriter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
 // codeLabel folds a status code into the label set of
 // roadnet_http_requests_total: the operationally distinct codes (429 rate
 // limited, 499 client gone, 500 panic, 503 overloaded/draining) stay

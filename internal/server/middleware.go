@@ -28,37 +28,44 @@ import (
 	"time"
 )
 
-// trackingWriter remembers whether any part of the response reached the
-// wire, which decides how a panic can be reported. It forwards Flush and
-// exposes Unwrap so http.ResponseController keeps working through it.
-type trackingWriter struct {
+// statusWriter remembers the status of the response it forwards. The zero
+// code means nothing has reached the wire yet (net/http sends an implicit
+// 200 if the handler never writes): recoverPanics keys its panic report
+// off that, and instrument labels the request counter with the code.
+// Flush and Unwrap keep streaming and http.ResponseController working
+// through the wrapper.
+type statusWriter struct {
 	http.ResponseWriter
-	wrote bool
+	code int
 }
 
-func (t *trackingWriter) WriteHeader(code int) {
-	t.wrote = true
-	t.ResponseWriter.WriteHeader(code)
+func (sw *statusWriter) WriteHeader(code int) {
+	if sw.code == 0 {
+		sw.code = code
+	}
+	sw.ResponseWriter.WriteHeader(code)
 }
 
-func (t *trackingWriter) Write(p []byte) (int, error) {
-	t.wrote = true
-	return t.ResponseWriter.Write(p)
+func (sw *statusWriter) Write(p []byte) (int, error) {
+	if sw.code == 0 {
+		sw.code = http.StatusOK
+	}
+	return sw.ResponseWriter.Write(p)
 }
 
-func (t *trackingWriter) Flush() {
-	if f, ok := t.ResponseWriter.(http.Flusher); ok {
+func (sw *statusWriter) Flush() {
+	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
-func (t *trackingWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // recoverPanics is the outermost middleware: a panicking handler answers
 // 500 and the process keeps serving.
 func recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tw := &trackingWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
 			v := recover()
 			if v == nil {
@@ -70,15 +77,15 @@ func recoverPanics(next http.Handler) http.Handler {
 				panic(v)
 			}
 			log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-			if !tw.wrote {
-				writeJSON(tw, http.StatusInternalServerError, errorResponse{"internal server error"})
+			if sw.code == 0 {
+				writeJSON(sw, http.StatusInternalServerError, errorResponse{"internal server error"})
 				return
 			}
 			// The status line is already on the wire; aborting the
 			// connection is the only honest signal left.
 			panic(http.ErrAbortHandler)
 		}()
-		next.ServeHTTP(tw, r)
+		next.ServeHTTP(sw, r)
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"roadnet/internal/binio"
 
 	"roadnet/internal/gen"
+	"roadnet/internal/graph"
 	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 )
@@ -33,17 +34,22 @@ func TestSILCSerializationRoundtrip(t *testing.T) {
 
 func TestSILCSerializationWithExceptions(t *testing.T) {
 	// Colliding coordinates force exception tables; they must roundtrip.
-	g := gen.RandomConnected(80, 120, 20, 823)
-	ix := build(t, g)
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
+	for _, g := range []*graph.Graph{gen.RandomConnected(80, 120, 20, 823), collisionGraph(t)} {
+		ix := build(t, g)
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ix2, err := silc.ReadIndex(bytes.NewReader(buf.Bytes()), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix2.SizeBytes() != ix.SizeBytes() {
+			t.Errorf("SizeBytes %d after roundtrip, built %d", ix2.SizeBytes(), ix.SizeBytes())
+		}
+		testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix2.Distance)
+		testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix2.ShortestPath)
 	}
-	ix2, err := silc.ReadIndex(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix2.Distance)
 }
 
 func TestSILCSerializationRejectsWrongGraph(t *testing.T) {
@@ -72,43 +78,22 @@ func TestSILCSerializationRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestSILCV1Roundtrip(t *testing.T) {
-	g := testutil.SmallRoad(900, 851)
-	ix := build(t, g)
-	var buf bytes.Buffer
-	if err := ix.SaveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := silc.ReadIndex(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.NumIntervals() != ix.NumIntervals() {
-		t.Errorf("intervals %d != %d after v1 roundtrip", ix2.NumIntervals(), ix.NumIntervals())
-	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 155), ix2.Distance)
-}
-
 func TestSILCVersionErrors(t *testing.T) {
 	g := testutil.SmallRoad(400, 853)
 	ix := build(t, g)
 
-	var v1 bytes.Buffer
-	if err := ix.SaveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), v1.Bytes()...)
-	bad[len("ROADNET-SILC\n")] = 9
-	_, err := silc.ReadIndex(bytes.NewReader(bad), g)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("v1 stream with version 9: got %v, want a versioned error", err)
+	// A stream that is not a flat container (such as the retired
+	// length-prefixed format) must be rejected as such.
+	_, err := silc.ReadIndex(strings.NewReader("ROADNET-SILC\n\x01"), g)
+	if !errors.Is(err, binio.ErrNotFlat) {
+		t.Errorf("non-flat stream: got %v, want binio.ErrNotFlat", err)
 	}
 
 	var v2 bytes.Buffer
 	if err := ix.Save(&v2); err != nil {
 		t.Fatal(err)
 	}
-	bad = append([]byte(nil), v2.Bytes()...)
+	bad := append([]byte(nil), v2.Bytes()...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
 	_, err = silc.ReadIndex(bytes.NewReader(bad), g)
 	if !errors.Is(err, binio.ErrVersion) {

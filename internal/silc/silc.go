@@ -15,11 +15,13 @@
 package silc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,17 +62,15 @@ type Index struct {
 	starts [][]uint32
 	colors [][]uint8
 
-	// exceptions lists, per source, the vertices whose Morton cell is
+	// Exceptions list, per source, the vertices whose Morton cell is
 	// shared with a different-colored vertex (coordinate collisions); the
-	// pair table overrides the interval lookup. Built and v1-loaded indexes
-	// use the maps; flat-loaded (zero-copy) ones keep the on-disk form
-	// instead — per-source runs of (target, color) pairs sorted by target,
-	// delimited by excOff and searched binarily in exceptionColor — so
-	// loading never materializes per-entry heap state.
-	exceptions []map[graph.VertexID]uint8
-	excOff     []int64
-	excTarget  []int32
-	excColor   []uint8
+	// pair table overrides the interval lookup. Source v's (target, color)
+	// pairs are excTarget/excColor[excOff[v]:excOff[v+1]], sorted by
+	// target and searched binarily in exceptionColor. Build emits this
+	// form and the flat format stores it, so a load aliases it as is.
+	excOff    []int64
+	excTarget []int32
+	excColor  []uint8
 
 	// code[v] is the Morton code of v.
 	code []uint32
@@ -107,12 +107,11 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	}
 
 	ix := &Index{
-		g:          g,
-		norm:       geom.NewNormalizer(g.Bounds(), opts.Bits),
-		starts:     make([][]uint32, n),
-		colors:     make([][]uint8, n),
-		exceptions: make([]map[graph.VertexID]uint8, n),
-		code:       make([]uint32, n),
+		g:      g,
+		norm:   geom.NewNormalizer(g.Bounds(), opts.Bits),
+		starts: make([][]uint32, n),
+		colors: make([][]uint8, n),
+		code:   make([]uint32, n),
 	}
 	for v := 0; v < n; v++ {
 		ix.code[v] = uint32(ix.norm.Code(g.Coord(graph.VertexID(v))))
@@ -128,6 +127,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 		ix.minDist = make([][]int32, n)
 	}
 
+	excRows := make([][]exception, n) // per source, sorted by target
 	var wg sync.WaitGroup
 	vch := make(chan graph.VertexID, opts.Workers*4)
 	var mu sync.Mutex
@@ -136,7 +136,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := newSourceBuilder(ix, order)
+			b := newSourceBuilder(ix, order, excRows)
 			for v := range vch {
 				if err := b.build(v); err != nil {
 					mu.Lock()
@@ -160,29 +160,47 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	for v := 0; v < n; v++ {
 		ix.intervals += int64(len(ix.starts[v]))
 	}
+	ix.excOff = make([]int64, n+1)
+	for v, row := range excRows {
+		for _, e := range row {
+			ix.excTarget = append(ix.excTarget, e.target)
+			ix.excColor = append(ix.excColor, e.color)
+		}
+		ix.excOff[v+1] = int64(len(ix.excTarget))
+	}
 	ix.buildTime = time.Since(start)
 	return ix, nil
+}
+
+// exception is one coordinate-collision override of a source's interval
+// table.
+type exception struct {
+	target graph.VertexID
+	color  uint8
 }
 
 // sourceBuilder holds the per-goroutine scratch for building one source's
 // interval table.
 type sourceBuilder struct {
-	ix    *Index
-	order []graph.VertexID
-	ctx   *dijkstra.Context
-	hop   []uint8 // first-hop slot per target for the current source
+	ix      *Index
+	order   []graph.VertexID
+	ctx     *dijkstra.Context
+	hop     []uint8       // first-hop slot per target for the current source
+	excRows [][]exception // shared output, one row per source
 
 	starts   []uint32
 	colors   []uint8
 	minDists []int32 // used when EnableNearest
+	exc      []exception
 }
 
-func newSourceBuilder(ix *Index, order []graph.VertexID) *sourceBuilder {
+func newSourceBuilder(ix *Index, order []graph.VertexID, excRows [][]exception) *sourceBuilder {
 	return &sourceBuilder{
-		ix:    ix,
-		order: order,
-		ctx:   dijkstra.NewContext(ix.g),
-		hop:   make([]uint8, ix.g.NumVertices()),
+		ix:      ix,
+		order:   order,
+		ctx:     dijkstra.NewContext(ix.g),
+		hop:     make([]uint8, ix.g.NumVertices()),
+		excRows: excRows,
 	}
 }
 
@@ -225,16 +243,17 @@ func (b *sourceBuilder) build(v graph.VertexID) error {
 	b.starts = b.starts[:0]
 	b.colors = b.colors[:0]
 	b.minDists = b.minDists[:0]
-	exceptions := map[graph.VertexID]uint8{}
-	b.rec(v, 0, uint64(b.ix.norm.CodeSpaceSize()), 0, len(b.order), exceptions)
+	b.exc = b.exc[:0]
+	b.rec(v, 0, uint64(b.ix.norm.CodeSpaceSize()), 0, len(b.order))
 
 	b.ix.starts[v] = append([]uint32(nil), b.starts...)
 	b.ix.colors[v] = append([]uint8(nil), b.colors...)
 	if b.ix.minDist != nil {
 		b.ix.minDist[v] = append([]int32(nil), b.minDists...)
 	}
-	if len(exceptions) > 0 {
-		b.ix.exceptions[v] = exceptions
+	if len(b.exc) > 0 {
+		slices.SortFunc(b.exc, func(x, y exception) int { return cmp.Compare(x.target, y.target) })
+		b.excRows[v] = slices.Clone(b.exc)
 	}
 	return nil
 }
@@ -287,7 +306,7 @@ func (b *sourceBuilder) regionMinDist(idxLo, idxHi int) int32 {
 // [codeLo, codeLo+codeSpan) containing the sorted vertices
 // order[idxLo:idxHi], emitting maximal single-color intervals. The source
 // vertex src acts as a wildcard that matches any color.
-func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, idxHi int, exceptions map[graph.VertexID]uint8) {
+func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, idxHi int) {
 	if idxLo >= idxHi {
 		return
 	}
@@ -324,7 +343,7 @@ func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, 
 		for i := idxLo; i < idxHi; i++ {
 			u := b.order[i]
 			if u != src && b.hop[u] != color {
-				exceptions[u] = b.hop[u]
+				b.exc = append(b.exc, exception{target: u, color: b.hop[u]})
 			}
 		}
 		return
@@ -337,25 +356,14 @@ func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, 
 		end := at + sort.Search(idxHi-at, func(k int) bool {
 			return uint64(b.ix.code[b.order[at+k]]) >= qHi
 		})
-		b.rec(src, qLo, quarter, at, end, exceptions)
+		b.rec(src, qLo, quarter, at, end)
 		at = end
 	}
 }
 
 // exceptionColor resolves a coordinate-collision override for the pair
-// (cur, target): from the exception map on built/v1-loaded indexes, by
-// binary search over the sorted flat runs on zero-copy loads.
+// (cur, target) by binary search over cur's sorted exception run.
 func (ix *Index) exceptionColor(cur, target graph.VertexID) (uint8, bool) {
-	if ix.exceptions != nil {
-		if exc := ix.exceptions[cur]; exc != nil {
-			c, ok := exc[target]
-			return c, ok
-		}
-		return 0, false
-	}
-	if ix.excOff == nil {
-		return 0, false
-	}
 	lo, hi := int(ix.excOff[cur]), int(ix.excOff[cur+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -462,22 +470,16 @@ func (ix *Index) NumIntervals() int64 { return ix.intervals }
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the index footprint: 5 bytes per interval (4-byte
-// start + 1-byte color) plus the per-source slice headers and exceptions.
+// start + 1-byte color) plus the per-source slice headers, and 5 bytes per
+// exception (4-byte target + 1-byte color) plus the run offsets.
 func (ix *Index) SizeBytes() int64 {
 	var size int64
 	for v := range ix.starts {
 		size += int64(len(ix.starts[v]))*5 + 48
-		if ix.exceptions != nil {
-			if exc := ix.exceptions[v]; exc != nil {
-				size += int64(len(exc)) * 16
-			}
-		}
 		if ix.minDist != nil {
 			size += int64(len(ix.minDist[v])) * 4
 		}
 	}
-	// Flat-loaded indexes keep the sorted-run exception form instead: 5
-	// bytes per entry, shared with the page cache when mapped.
 	size += int64(len(ix.excTarget)) * 5
 	size += int64(len(ix.excOff)) * 8
 	size += int64(len(ix.code)) * 4

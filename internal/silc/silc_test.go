@@ -61,9 +61,11 @@ func TestSILCAdversarialGraph(t *testing.T) {
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 79), ix.ShortestPath)
 }
 
-func TestSILCCoordinateCollisions(t *testing.T) {
-	// All vertices at the same point: every region degenerates to a
-	// collision cell and the exception table must carry all lookups.
+// collisionGraph is a six-vertex chain with every vertex at the same
+// point: every region degenerates to a collision cell, so the exception
+// table must carry the lookups of every source inside the chain.
+func collisionGraph(t *testing.T) *graph.Graph {
+	t.Helper()
 	b := graph.NewBuilder(6)
 	p := testutil.Figure1().Coord(0)
 	for i := 0; i < 6; i++ {
@@ -74,7 +76,11 @@ func TestSILCCoordinateCollisions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := b.Build()
+	return b.Build()
+}
+
+func TestSILCCoordinateCollisions(t *testing.T) {
+	g := collisionGraph(t)
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
